@@ -242,6 +242,10 @@ class DittoEngine:
         self.last_duration = 0.0
         self.last_phase_times: dict[str, float] = {}
         self._current_phase = ""
+        #: Exclusive-phase bookkeeping: seconds accounted to any phase so
+        #: far, and its value at the start of each open phase.
+        self._phase_accounted = 0.0
+        self._phase_marks: list[float] = []
 
         # Resolve the check's function closure and validate every member
         # (analysis() raises CheckRestrictionError on a violation), then
@@ -462,20 +466,32 @@ class DittoEngine:
 
     def _phase_begin(self, name: str) -> float:
         self._current_phase = name
+        self._phase_marks.append(self._phase_accounted)
         return time.perf_counter()
 
     def _phase_end(self, name: str, start: float) -> None:
         """Account one completed phase: per-run breakdown, lifetime stats
-        accumulator, and (when tracing) a span event."""
+        accumulator, and (when tracing) a span event.
+
+        Accounted times are exclusive: time already accounted to a phase
+        nested inside this one (a prune cascade inside exec, a rebuild's
+        phases inside fallback) is subtracted, so the phases of a run
+        partition its wall time.  The trace span keeps the inclusive
+        interval, which is what a timeline nests."""
         dur = time.perf_counter() - start
         self._current_phase = ""
-        times = self.last_phase_times
-        times[name] = times.get(name, 0.0) + dur
-        stats_dict = self.stats.__dict__
-        attr = _TIMER_ATTRS[name]
-        stats_dict[attr] = stats_dict[attr] + dur
+        nested = self._phase_accounted - self._phase_marks.pop()
+        self._account(name, dur - nested)
         if self.tracing:
             self._sink.span(name, start, dur)
+
+    def _account(self, name: str, seconds: float) -> None:
+        self._phase_accounted += seconds
+        times = self.last_phase_times
+        times[name] = times.get(name, 0.0) + seconds
+        stats_dict = self.stats.__dict__
+        attr = _TIMER_ATTRS[name]
+        stats_dict[attr] = stats_dict[attr] + seconds
 
     # Public API. -----------------------------------------------------------------
 
@@ -503,6 +519,8 @@ class DittoEngine:
         try:
             self._running = True
             self.last_phase_times = {}
+            self._phase_accounted = 0.0
+            self._phase_marks.clear()
             self._hook_countdown = self.step_hook_interval
             if self.mode == "scratch":
                 self.stats.runs += 1
@@ -637,7 +655,7 @@ class DittoEngine:
                     f"edge multiplicity mismatch {caller} -> {node}"
                 )
             if node is not self._root:
-                assert node.caller_count() > 0, f"{node} unreachable"
+                assert node.callers, f"{node} unreachable"
 
     def lint(self):
         """Re-run the whole-program lint pass for this engine's entry point
@@ -902,9 +920,11 @@ class DittoEngine:
     def _incrementalize(self, args: tuple) -> Any:
         key = ArgsKey(args)
         start = self._phase_begin("barrier_drain")
-        pending = self.tracking.write_log.consume(self._log_cid)
-        dirty = self.table.map_locations_to_nodes(pending)
-        self._phase_end("barrier_drain", start)
+        try:
+            pending = self.tracking.write_log.consume(self._log_cid)
+            dirty = self.table.map_locations_to_nodes(pending)
+        finally:
+            self._phase_end("barrier_drain", start)
         if self.tracing:
             counters = self.tracking.barrier_counters()
             counters["pending"] = len(pending)
@@ -969,7 +989,7 @@ class DittoEngine:
                     for node in sorted(dirty, key=ComputationNode.sort_token):
                         if not (contains(node) and node.dirty):
                             continue
-                        if node is not root_node and node.caller_count() == 0:
+                        if node is not root_node and not node.callers:
                             prune(node)
                             continue
                         stats.dirty_execs += 1
@@ -1010,7 +1030,7 @@ class DittoEngine:
             if old_root is not None and self.table.contains(old_root):
                 self._anchor.calls.remove(old_root)
                 self.table.remove_edge(self._anchor, old_root)
-                if old_root.caller_count() == 0:
+                if not old_root.callers:
                     self._prune(old_root)
         return node
 
@@ -1024,7 +1044,7 @@ class DittoEngine:
         if old_root is not None and self.table.contains(old_root):
             self._anchor.calls.remove(old_root)
             self.table.remove_edge(self._anchor, old_root)
-            if old_root.caller_count() == 0:
+            if not old_root.callers:
                 self._prune(old_root)
 
     # Node execution (Figure 7's ``exec``). -------------------------------------------
@@ -1059,15 +1079,9 @@ class DittoEngine:
             # nodes created by the aborted execution are pruned if nothing
             # else reaches them.
             partial_calls = node.calls
-            for child in partial_calls:
-                self.table.remove_edge(node, child)
             node.calls = old_calls
-            for child in set(partial_calls):
-                if (
-                    self.table.contains(child)
-                    and child.caller_count() == 0
-                    and not child.in_progress
-                ):
+            for child in self.table.remove_calls(node, partial_calls):
+                if self.table.contains(child) and not child.in_progress:
                     self._prune(child)
             if (
                 self.mode == "ditto"
@@ -1117,14 +1131,10 @@ class DittoEngine:
             )
 
         # Drop the superseded call edges and prune unreachable callees.
-        for child in old_calls:
-            self.table.remove_edge(node, child)
-        for child in set(old_calls):
-            if (
-                self.table.contains(child)
-                and child.caller_count() == 0
-            ):
-                self._prune(child)
+        if old_calls:
+            for child in self.table.remove_calls(node, old_calls):
+                if self.table.contains(child):
+                    self._prune(child)
 
         if old_has and not _same_value(result, old_val):
             node.value_tick = self._tick
@@ -1136,16 +1146,17 @@ class DittoEngine:
         # reaches it now, complete the prune.
         if (
             node is not self._root
-            and node.caller_count() == 0
+            and not node.callers
             and self.table.contains(node)
         ):
             self._prune(node)
         return result
 
     def _prune(self, node: ComputationNode) -> None:
-        # Prune time is accounted as its own phase but accumulates *inside*
-        # the enclosing exec/propagate/retry span (cascades are triggered
-        # mid-phase), so it deliberately leaves ``_current_phase`` alone.
+        # Prune is its own phase, nested inside the enclosing
+        # exec/propagate/retry span (cascades are triggered mid-phase): it
+        # leaves ``_current_phase`` alone, and its time is subtracted from
+        # the enclosing phase when that one ends.
         start = time.perf_counter()
         removed = self.table.prune(node)
         self.stats.nodes_pruned += len(removed)
@@ -1158,9 +1169,7 @@ class DittoEngine:
         if self.recorder is not None and removed:
             self.recorder.pruned(removed)
         dur = time.perf_counter() - start
-        times = self.last_phase_times
-        times["prune"] = times.get("prune", 0.0) + dur
-        self.stats.time_prune += dur
+        self._account("prune", dur)
         if self.tracing:
             self._sink.span("prune", start, dur, {"removed": len(removed)})
 
@@ -1251,10 +1260,21 @@ class DittoEngine:
         rounds = 0
         while self._failed and rounds < _MAX_RETRY_ROUNDS:
             rounds += 1
+            self._retry_round(final=False)
+        if self._failed:
+            self._retry_round(final=True)
+
+    def _retry_round(self, final: bool) -> None:
+        """Re-execute the failed nodes once, deepest first (settling callees
+        before callers), then propagate changed return values.  In the
+        ``final`` round an exception escapes to the caller instead of being
+        recorded as another misprediction."""
+        self._final_retry = final
+        try:
             batch = sorted(
                 (n for n in self._failed if self.table.contains(n)),
                 key=ComputationNode.sort_token,
-                reverse=True,  # deepest first: settle callees before callers
+                reverse=True,
             )
             self._failed.clear()
             for node in batch:
@@ -1262,38 +1282,18 @@ class DittoEngine:
                     self.table.contains(node) and (node.dirty or node.failed)
                 ):
                     continue
-                if node is not self._root and node.caller_count() == 0:
+                if node is not self._root and not node.callers:
                     self._prune(node)
                     continue
                 self.stats.retry_execs += 1
                 try:
                     self._exec(node)
                 except OptimisticMispredictionError:
-                    pass
-            self._propagate()
-        if self._failed:
-            self._final_retry = True
-            try:
-                batch = sorted(
-                    (n for n in self._failed if self.table.contains(n)),
-                    key=ComputationNode.sort_token,
-                    reverse=True,
-                )
-                self._failed.clear()
-                for node in batch:
-                    if not (
-                        self.table.contains(node)
-                        and (node.dirty or node.failed)
-                    ):
-                        continue
-                    if node is not self._root and node.caller_count() == 0:
-                        self._prune(node)
-                        continue
-                    self.stats.retry_execs += 1
-                    self._exec(node)  # exceptions escape to the caller
-            finally:
-                self._final_retry = False
-            self._propagate()
+                    if final:
+                        raise
+        finally:
+            self._final_retry = False
+        self._propagate()
 
 
 def _same_value(a: Any, b: Any) -> bool:

@@ -108,6 +108,12 @@ class MemoTable:
             # time — until a retry found refcount 0 and adopted the
             # structure out from under its owner.
             adopt_container(container, self.tracking)
+        tracked = isinstance(container, (TrackedObject, TrackedArray))
+        if tracked:
+            # Store the container's interned instance, never an equal copy:
+            # clear_implicits releases the very object it finds here, and
+            # the barrier reads the count of the interned one.
+            location = container._ditto_location(location.coordinate)
         node.implicits.add(location)
         dependents = self._reverse.get(location)
         if dependents is None:
@@ -115,11 +121,11 @@ class MemoTable:
             self._reverse[location] = dependents
         dependents.add(node)
         # Location-attributed incref.  The shipped tracked types get a
-        # direct (monomorphic) call — every location reaching here for them
-        # is already the interned instance, so canonicalization inside
-        # ``_ditto_incref_loc`` is a dict no-op; duck-typed getattr
-        # dispatch remains only for custom tracked containers.
-        if isinstance(container, (TrackedObject, TrackedArray)):
+        # direct (monomorphic) call — ``location`` is the interned instance,
+        # so canonicalization inside ``_ditto_incref_loc`` is a dict no-op;
+        # duck-typed getattr dispatch remains only for custom tracked
+        # containers.
+        if tracked:
             container._ditto_incref_loc(location)
         else:
             incref_loc = getattr(container, "_ditto_incref_loc", None)
@@ -132,16 +138,30 @@ class MemoTable:
 
     def clear_implicits(self, node: ComputationNode) -> None:
         """Drop all of ``node``'s implicit arguments (before re-execution or
-        when pruning), releasing reverse-map entries and reference counts."""
+        when pruning), releasing reverse-map entries and reference counts.
+
+        For the shipped tracked types the release is ``_ditto_decref_loc``
+        inlined, mirroring the specialized tier's inlined incref: every
+        entry is the container's interned location (``record_implicit``
+        and the specialized readers store nothing else), so the counts are
+        decremented in place with no canonicalizing lookup."""
+        reverse = self._reverse
         for location in node.implicits:
-            dependents = self._reverse.get(location)
+            dependents = reverse.get(location)
             if dependents is not None:
                 dependents.discard(node)
                 if not dependents:
-                    del self._reverse[location]
+                    del reverse[location]
             container = location.container
-            if isinstance(container, (TrackedObject, TrackedArray)):
-                container._ditto_decref_loc(location)
+            if isinstance(container, TrackedObject):
+                location.refcount -= 1
+                fields = container.__dict__
+                fields["_ditto_locrefs"] = container._ditto_locrefs - 1
+                fields["_ditto_refcount"] = container._ditto_refcount - 1
+            elif isinstance(container, TrackedArray):
+                location.refcount -= 1
+                container._ditto_locrefs -= 1
+                container._ditto_refcount -= 1
             else:
                 decref_loc = getattr(container, "_ditto_decref_loc", None)
                 if decref_loc is not None:
@@ -213,12 +233,33 @@ class MemoTable:
 
     def remove_edge(self, caller: ComputationNode, callee: ComputationNode) -> None:
         """Remove one ``caller -> callee`` call occurrence (the caller's
-        ``calls`` list is managed by the engine)."""
+        ``calls`` list is managed by the engine).  A caller whose count
+        reaches zero is popped, so ``callers`` never holds a zero count and
+        ``not callee.callers`` is an O(1) orphan test."""
         count = callee.callers.get(caller, 0)
         if count <= 1:
             callee.callers.pop(caller, None)
         else:
             callee.callers[caller] = count - 1
+
+    def remove_calls(
+        self, caller: ComputationNode, calls: list[ComputationNode]
+    ) -> list[ComputationNode]:
+        """Remove one ``caller -> callee`` edge per entry of ``calls`` (the
+        caller's superseded call list) and return, in call order, the
+        callees this left without any caller.  One pass, O(len(calls)):
+        no callee's fan-in is ever summed."""
+        orphans: list[ComputationNode] = []
+        for callee in calls:
+            callers = callee.callers
+            count = callers.get(caller, 0)
+            if count > 1:
+                callers[caller] = count - 1
+            elif count:
+                del callers[caller]
+                if not callers:
+                    orphans.append(callee)
+        return orphans
 
     # Pruning (Figure 7's ``prune``). ------------------------------------------
 
@@ -244,10 +285,7 @@ class MemoTable:
             del self._entries[table_key]
             self.clear_implicits(current)
             removed.append(current)
-            for callee in current.calls:
-                self.remove_edge(current, callee)
-                if callee.caller_count() == 0:
-                    stack.append(callee)
+            stack.extend(self.remove_calls(current, current.calls))
             current.calls.clear()
             current.callers.clear()
         return removed

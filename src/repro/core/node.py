@@ -8,6 +8,9 @@ plus the bookkeeping the full algorithm (Figure 7) needs:
 
 * ``callers`` — reverse edges with multiplicities (``get_callers`` in the
   pseudo-code); a node with no callers is unreachable and gets pruned.
+  ``MemoTable.remove_edge`` pops a caller whose count reaches zero, so the
+  map never holds a zero count and ``not node.callers`` is the O(1)
+  orphan test — independent of how many callers a shared node has.
 * ``depth`` — distance from the root, maintained as a minimum over caller
   depths; drives the breadth-first scheduling of dirty re-executions and
   the reverse-BFS ordering of return-value propagation.
@@ -84,9 +87,6 @@ class ComputationNode:
     @property
     def explicit_args(self) -> tuple:
         return self.key.args
-
-    def caller_count(self) -> int:
-        return sum(self.callers.values())
 
     def sort_token(self) -> tuple[int, int]:
         """Key for BFS scheduling: primary = depth, tie-break = execution

@@ -33,12 +33,14 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 #: Run phases the engine times, in execution order.  ``barrier_drain``
-#: through ``retry`` partition one incremental run; ``prune`` is nested
-#: inside ``exec``/``propagate`` (it times the pruning cascades those
-#: phases trigger); ``fallback`` wraps a whole recovery (including the
-#: phases of the rebuild run it performs); ``audit``/``verify`` are the
-#: paranoia-mode passes; ``degraded`` is a run served by the
-#: uninstrumented check during a degradation cooldown.
+#: through ``retry`` partition one incremental run; ``prune`` times the
+#: pruning cascades that ``exec``/``propagate``/``retry`` trigger;
+#: ``fallback`` is a whole recovery less the phases of the rebuild run it
+#: performs; ``audit``/``verify`` are the paranoia-mode passes;
+#: ``degraded`` is a run served by the uninstrumented check during a
+#: degradation cooldown.  Times are exclusive — a phase nested in another
+#: is subtracted from it — so a run's phase times sum to at most its
+#: wall time.
 PHASES = (
     "barrier_drain",
     "dirty_mark",

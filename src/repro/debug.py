@@ -121,7 +121,7 @@ def graph_stats(engine: DittoEngine) -> dict[str, float]:
                 "sharing": 0.0}
     edges = sum(len(n.calls) for n in nodes)
     implicits = sum(len(n.implicits) for n in nodes)
-    shared = sum(1 for n in nodes if n.caller_count() > 1)
+    shared = sum(1 for n in nodes if sum(n.callers.values()) > 1)
     return {
         "nodes": len(nodes),
         "edges": edges,

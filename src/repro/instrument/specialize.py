@@ -394,15 +394,9 @@ def _abort_fresh_exec(engine: "DittoEngine", node: ComputationNode,
     path only — frames here cost nothing in the steady state."""
     table = engine.table
     partial_calls = node.calls
-    for child in partial_calls:
-        table.remove_edge(node, child)
     node.calls = []
-    for child in set(partial_calls):
-        if (
-            table.contains(child)
-            and child.caller_count() == 0
-            and not child.in_progress
-        ):
+    for child in table.remove_calls(node, partial_calls):
+        if table.contains(child) and not child.in_progress:
             engine._prune(child)
     if (
         engine.mode == "ditto"

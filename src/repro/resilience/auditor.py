@@ -21,8 +21,9 @@ Rules audited (names appear in findings and in ``AuditReport.rules_run``):
     mirror images (both inclusions), and no pruned node lingers in either.
 ``edges``
     ``calls`` lists and ``callers`` multiplicity maps agree edge-for-edge,
-    every endpoint is a live table node, and every non-root node is
-    reachable (has at least one caller).
+    every endpoint is a live table node, no ``callers`` entry has a count
+    below one, and every non-root node is reachable (has at least one
+    caller).
 ``node-state``
     Between runs no node is dirty, failed, in-progress, or missing its
     result — a quiescent graph is fully repaired.
@@ -39,7 +40,11 @@ Rules audited (names appear in findings and in ``AuditReport.rules_run``):
     Each tracked container's §4 reference count covers this engine's
     implicit-argument entries naming it (counts are global across engines,
     so the audit checks a lower bound; an *under*-count means write
-    barriers are being skipped for locations the graph depends on).
+    barriers are being skipped for locations the graph depends on).  Every
+    implicit entry on a :class:`~repro.core.tracked.TrackedObject` or
+    :class:`~repro.core.tracked.TrackedArray` must also be the container's
+    interned location: ``MemoTable.clear_implicits`` releases the entry's
+    own count in place, which is exact only for the interned instance.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.errors import GraphAuditError
+from ..core.tracked import TrackedArray, TrackedObject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import DittoEngine
@@ -182,6 +188,10 @@ class GraphAuditor:
                 edge_counts[pair] = edge_counts.get(pair, 0) + 1
         for node in table:
             for caller, count in node.callers.items():
+                if count < 1:
+                    # remove_edge pops a caller at zero; a kept zero would
+                    # make "no callers" miss an unreachable node.
+                    yield f"edge {caller} -> {node} kept with count {count}"
                 if caller is anchor:
                     continue
                 if not table.contains(caller):
@@ -193,7 +203,7 @@ class GraphAuditor:
                         f"edge {caller} -> {node}: callers map says "
                         f"{count}, calls lists say {recorded}"
                     )
-            if node is not root and node.caller_count() == 0:
+            if node is not root and not node.callers:
                 yield f"{node} is unreachable (no callers) yet not pruned"
 
     def _audit_node_state(self) -> Iterator[str]:
@@ -251,6 +261,18 @@ class GraphAuditor:
                 key = id(container)
                 containers[key] = container
                 expected[key] = expected.get(key, 0) + 1
+                if isinstance(container, (TrackedObject, TrackedArray)):
+                    cache = getattr(container, "_ditto_loc_cache", None)
+                    interned = (
+                        None if cache is None
+                        else cache.get(location.coordinate)
+                    )
+                    if interned is not location:
+                        yield (
+                            f"{node} records {location}, which is not "
+                            f"the container's interned location; releasing "
+                            f"it would miss the count the barrier reads"
+                        )
         for key, minimum in expected.items():
             container = containers[key]
             actual = getattr(container, "_ditto_refcount", None)

@@ -132,8 +132,11 @@ class TestRunner:
         assert result.counters["incremental_runs"] == 8
         assert "exec" in result.phase_times
         assert result.graph_size > 0
-        # Per-run phase sums stay inside the soak's wall clock.
-        assert sum(result.phase_times.values()) <= result.seconds + 0.05
+        # Exclusive phase times partition each run, so their sum stays
+        # inside the runs' wall clock (the bound allows float rounding).
+        assert sum(result.phase_times.values()) <= (
+            sum(result.run_durations) * (1 + 1e-6)
+        )
 
     def test_measure_soak_with_trace_sink(self):
         from repro.obs import RingBufferSink

@@ -67,7 +67,7 @@ class TestValidateDetects:
         engine = _engine_with_chain(engine_factory)
         node = next(
             n for n in engine.table
-            if n is not engine._root and n.caller_count() > 0
+            if n is not engine._root and n.callers
         )
         node.callers.clear()
         with pytest.raises(AssertionError, match="unreachable|multiplicity"):

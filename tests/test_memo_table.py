@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from repro import ArgsKey, TrackedArray, TrackedObject, check
+from repro import ArgsKey, TrackedArray, TrackedObject, check, tracking_state
 from repro.core import MemoTable
-from repro.core.locations import FieldLocation, RangeLocation
+from repro.core.locations import (
+    FieldLocation,
+    IndexLocation,
+    LengthLocation,
+    RangeLocation,
+)
 from repro.core.memo_table import _merge_intervals
 
 
@@ -89,6 +94,53 @@ class TestImplicits:
         table.clear_implicits(a)
         assert table.nodes_reading(loc) == {b}
         assert heap._ditto_refcount == 1
+
+    def test_non_interned_location_is_released_exactly(self):
+        # clear_implicits releases the entry's own count in place, so
+        # record_implicit must store the container's interned location
+        # even when handed an equal copy.
+        state = tracking_state()
+        state.monitor_fields(["value"])
+        cid = state.write_log.register()
+        table = MemoTable()
+        heap = Node()
+        interned = heap._ditto_location("value")
+        a = _node(table, some_check, 1)
+        b = _node(table, some_check, 2)
+        copy = FieldLocation(heap, "value")
+        assert copy == interned and copy is not interned
+        table.record_implicit(a, copy)
+        table.record_implicit(b, FieldLocation(heap, "value"))
+        assert [*a.implicits] == [*b.implicits] == [interned]
+        assert next(iter(a.implicits)) is interned
+        assert next(iter(b.implicits)) is interned
+        assert interned.refcount == 2 and copy.refcount == 0
+        assert heap._ditto_locrefs == heap._ditto_refcount == 2
+        table.clear_implicits(a)
+        assert interned.refcount == 1
+        assert heap._ditto_locrefs == heap._ditto_refcount == 1
+        heap.value = 5  # b still reads it: the barrier must log
+        assert state.write_log.consume(cid) == [interned]
+        table.clear_implicits(b)
+        assert interned.refcount == 0
+        assert heap._ditto_locrefs == heap._ditto_refcount == 0
+        heap.value = 6  # nothing reads it any more
+        assert state.write_log.consume(cid) == []
+
+    def test_non_interned_array_location_is_released_exactly(self):
+        table = MemoTable()
+        arr = TrackedArray([1, 2, 3])
+        node = _node(table, some_check, 1)
+        table.record_implicit(node, IndexLocation(arr, 1))
+        table.record_implicit(node, LengthLocation(arr))
+        assert all(
+            loc is arr._ditto_location(loc.coordinate)
+            for loc in node.implicits
+        )
+        table.clear_implicits(node)
+        assert arr._ditto_location(1).refcount == 0
+        assert arr._ditto_location("<len>").refcount == 0
+        assert arr._ditto_locrefs == arr._ditto_refcount == 0
 
     def test_map_locations_to_nodes(self):
         table = MemoTable()
@@ -193,12 +245,12 @@ class TestEdges:
         child = _node(table, some_check, 2)
         table.add_edge(parent, child)
         table.add_edge(parent, child)
-        assert child.caller_count() == 2
+        assert child.callers == {parent: 2}
         assert parent.calls == [child, child]
         table.remove_edge(parent, child)
-        assert child.caller_count() == 1
+        assert child.callers == {parent: 1}
         table.remove_edge(parent, child)
-        assert child.caller_count() == 0
+        assert child.callers == {}
         assert parent not in child.callers
 
     def test_depth_propagates_min(self):

@@ -12,6 +12,7 @@ event, the counter would tick.
 from __future__ import annotations
 
 import random
+import time
 
 from repro import DittoEngine
 from repro.core.stats import PHASES
@@ -109,9 +110,31 @@ class TestPhaseTimes:
         assert report.phase_times
         assert set(report.phase_times) <= set(PHASES)
         assert all(v >= 0 for v in report.phase_times.values())
-        # The phases partition the run: their sum cannot meaningfully
-        # exceed the run's wall clock (allow scheduler jitter).
-        assert sum(report.phase_times.values()) <= report.duration + 0.05
+        # The phases partition the run: exclusive times sum to at most
+        # the run's wall clock (the bound allows float rounding only).
+        assert sum(report.phase_times.values()) <= report.duration * (1 + 1e-6)
+
+    def test_nested_prune_time_is_exclusive(self):
+        # A delete prunes the removed element's invocation from inside the
+        # exec phase; a slowed prune must count once, under "prune" only.
+        engine = DittoEngine(is_ordered, recursion_limit=None)
+        try:
+            lst = _build_list(50)
+            engine.run(lst.head)
+            prune = engine.table.prune
+
+            def slow_prune(node):
+                time.sleep(0.05)
+                return prune(node)
+
+            engine.table.prune = slow_prune
+            lst.delete(25)
+            report = engine.run_with_report(lst.head)
+        finally:
+            engine.close()
+        assert report.phase_times["prune"] >= 0.05
+        assert report.phase_times["exec"] < 0.05
+        assert sum(report.phase_times.values()) <= report.duration * (1 + 1e-6)
 
     def test_lifetime_timers_accumulate(self):
         engine = DittoEngine(is_ordered, recursion_limit=None)

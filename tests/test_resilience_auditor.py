@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ArgsKey, GraphAuditError, TrackedObject, check
+from repro.core.locations import FieldLocation
 from repro.resilience import GraphAuditor
 
 pytestmark = pytest.mark.resilience
@@ -145,6 +146,20 @@ class TestCorruptionDetection:
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("edges")
 
+    def test_zero_count_caller_entry(self, warm_engine):
+        # A kept zero count would hide an orphan from the O(1) test.
+        engine, _ = warm_engine
+        nodes = list(engine.table)
+        node = next(n for n in nodes if n is not engine._root)
+        stranger = next(
+            n for n in nodes if n is not node and n not in node.callers
+        )
+        node.callers[stranger] = 0
+        report = engine.audit(raise_on_failure=False)
+        assert any(
+            "count 0" in f.message for f in report.by_rule("edges")
+        )
+
     def test_dirty_node_left_behind(self, warm_engine):
         engine, _ = warm_engine
         next(iter(engine.table)).dirty = True
@@ -176,6 +191,19 @@ class TestCorruptionDetection:
         container._ditto_refcount = 0
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("refcounts")
+
+    def test_non_interned_implicit(self, warm_engine):
+        # An equal but non-interned location in a node's implicits would
+        # be released without touching the count the barrier reads.
+        engine, _ = warm_engine
+        node = _a_node_with_implicits(engine)
+        location = next(iter(node.implicits))
+        node.implicits.discard(location)
+        node.implicits.add(FieldLocation(location.container, location.field))
+        report = engine.audit(raise_on_failure=False)
+        assert any(
+            "interned" in f.message for f in report.by_rule("refcounts")
+        )
 
     def test_audit_raises_by_default(self, warm_engine):
         engine, _ = warm_engine
